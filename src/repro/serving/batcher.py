@@ -6,9 +6,17 @@ so predicting 64 series in one panel costs little more than predicting
 one.  The :class:`MicroBatcher` exploits that the same way the experiment
 engine exploits job batching: callers submit one series at a time from
 any thread, a small worker pool drains the shared queue, coalesces up to
-``max_batch`` series (waiting at most ``max_latency`` seconds for
-stragglers), stacks them into one ``(n, channels, length)`` panel, and
-fans the predictions back out through per-request futures.
+``max_batch`` series, stacks them into one ``(n, channels, length)``
+panel, and fans the predictions back out through per-request futures.
+
+A batch waits for stragglers only while nobody needs it yet.  The
+futures count the callers blocked in ``result()``/``exception()`` on a
+request that is still queued; as soon as there is one, the worker
+dispatches whatever is already queued instead of waiting out
+``max_latency`` (the dispatch-when-idle rule of adaptive batching).  A lone blocking request therefore pays no coalescing wait,
+and under load batches still form from the requests that queue up while
+a predict runs.  Callers that only poll ``done()`` — the pipelined
+stream scorer — keep the full ``max_latency`` coalescing window.
 
 Per-series predictions are independent (PPV features and ridge scores
 are computed row-wise), so a label never depends on which other requests
@@ -17,10 +25,11 @@ shared its batch — batching changes throughput, not results.
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -29,8 +38,6 @@ import numpy as np
 from .metrics import BATCH_SIZE_BUCKETS, LATENCY_BUCKETS, Histogram
 
 __all__ = ["BatcherStats", "MicroBatcher", "Prediction", "QueueFullError"]
-
-_SHUTDOWN = object()
 
 
 class Prediction(NamedTuple):
@@ -53,6 +60,37 @@ class QueueFullError(RuntimeError):
     immediately (HTTP 429) rather than queueing without bound and letting
     every request's latency grow past its timeout.
     """
+
+
+class _WaitedFuture(Future):
+    """A future whose blocking reads count as waiting on its batcher.
+
+    ``result()`` and ``exception()`` on an unresolved future raise the
+    batcher's waiter count while the request is still queued, which tells
+    the worker to stop waiting for stragglers.  ``done()`` polls, reads of
+    a resolved future and waits on a batch already being predicted do not
+    count.
+    """
+
+    def __init__(self, batcher: "MicroBatcher"):
+        super().__init__()
+        self._batcher = batcher
+        #: threads blocked on this future; guarded by the batcher's lock
+        self._blocked = 0
+        #: not yet handed to predict_fn; guarded by the batcher's lock
+        self._queued = True
+
+    def result(self, timeout=None):
+        if self.done():
+            return super().result()
+        with self._batcher._waiting(self):
+            return super().result(timeout)
+
+    def exception(self, timeout=None):
+        if self.done():
+            return super().exception()
+        with self._batcher._waiting(self):
+            return super().exception(timeout)
 
 
 @dataclass
@@ -110,8 +148,12 @@ class MicroBatcher:
     max_batch:
         Panel-size ceiling per predict call.
     max_latency:
-        Seconds a worker waits for stragglers after the first request of a
-        batch arrives — the latency price of coalescing.
+        The longest a worker waits for stragglers after the first request
+        of a batch arrives, while no caller is blocked on a result.  A
+        blocking ``result()``/``exception()`` on any unresolved future
+        ends the wait at once: the worker dispatches what is already
+        queued.  So only batches nobody waits on yet (pipelined stream
+        windows) pay this latency price of coalescing.
     workers:
         Batch-assembling threads.  numpy releases the GIL inside the BLAS
         calls that dominate prediction, so a small pool overlaps compute
@@ -136,7 +178,8 @@ class MicroBatcher:
         Optional callable ``(stage, seconds)`` invoked per batch with
         the per-stage latency breakdown: ``queue_wait`` (submit to
         dequeue, once per request), ``assemble`` (first dequeue to
-        predict start — the straggler wait, once per batch) and
+        predict start — the straggler wait, once per batch; near zero
+        when a caller is blocked on the batch) and
         ``predict`` (the model call, once per batch).  The serving
         layer points this at its per-model stage histograms.
     tracer:
@@ -189,14 +232,21 @@ class MicroBatcher:
         self.stats = stats if stats is not None else BatcherStats()
         self._stage_observer = stage_observer
         self._tracer = tracer
-        self._queue: queue.Queue = queue.Queue()
+        #: queued request tuples; guarded by ``_submit_lock`` together with
+        #: ``_closed`` and ``_waiters``
+        self._pending: deque = deque()
         self._closed = False
+        #: callers blocked in result()/exception() on a still-queued request
+        self._waiters = 0
         #: serialises submits against close(), so no request can be enqueued
-        #: behind the shutdown sentinel and starve
+        #: after the workers were told to stop and starve
         self._submit_lock = threading.Lock()
         #: notified whenever a worker drains items off the queue, so a
         #: blocking submit (timeout > 0) can wait for space instead of polling
         self._space = threading.Condition(self._submit_lock)
+        #: notified on a new request, on the first blocked waiter and on
+        #: close: everything an idle or assembling worker waits for
+        self._ready = threading.Condition(self._submit_lock)
         self._workers = [
             threading.Thread(target=self._drain, name=f"micro-batcher-{i}", daemon=True)
             for i in range(workers)
@@ -253,7 +303,7 @@ class MicroBatcher:
                 "(no predict_proba / proba_fn)"
             )
         prepared = [self._validate(series) for series in series_list]
-        futures: list[Future] = [Future() for _ in prepared]
+        futures: list[Future] = [_WaitedFuture(self) for _ in prepared]
         # Contextvars do not cross into the worker threads, so the trace
         # context rides the queue item; captured only while tracing is on
         # so the disabled path pays one attribute check.
@@ -265,7 +315,7 @@ class MicroBatcher:
             while True:
                 if self._closed:
                     raise RuntimeError("cannot submit to a closed MicroBatcher")
-                depth = self._queue.qsize()
+                depth = len(self._pending)
                 if not (self.max_queue and depth
                         and depth + len(prepared) > self.max_queue):
                     break
@@ -280,8 +330,9 @@ class MicroBatcher:
                     )
                 self._space.wait(remaining)
             now = time.monotonic()
-            for series, future in zip(prepared, futures):
-                self._queue.put((series, future, now, return_proba, ctx))
+            self._pending.extend((series, future, now, return_proba, ctx)
+                                 for series, future in zip(prepared, futures))
+            self._ready.notify(len(prepared))
         return futures
 
     def _validate(self, series) -> np.ndarray:
@@ -318,7 +369,29 @@ class MicroBatcher:
     @property
     def queue_depth(self) -> int:
         """Requests currently waiting to be coalesced (approximate)."""
-        return self._queue.qsize()
+        return len(self._pending)
+
+    @contextmanager
+    def _waiting(self, future: _WaitedFuture):
+        """Count one caller blocked on *future* for the ``with`` body.
+
+        The caller counts towards ``_waiters`` only while its request is
+        queued; dispatching the batch (``_assemble``) takes it out.
+        """
+        with self._ready:
+            future._blocked += 1
+            if future._queued:
+                self._waiters += 1
+                if self._waiters == 1:
+                    # Cut short a straggler wait already in progress.
+                    self._ready.notify_all()
+        try:
+            yield
+        finally:
+            with self._ready:
+                future._blocked -= 1
+                if future._queued:
+                    self._waiters -= 1
 
     def predict(self, series, timeout: float | None = None):
         """Blocking single-series prediction (submit + wait)."""
@@ -336,9 +409,9 @@ class MicroBatcher:
             if not self._closed:
                 self._closed = True
                 # Under the submit lock, every accepted request is already
-                # ahead of the sentinel in the FIFO queue, so the workers
-                # serve all of them before shutting down.
-                self._queue.put(_SHUTDOWN)
+                # queued, and workers only exit on an empty queue, so all
+                # of them are served before shutting down.
+                self._ready.notify_all()
                 # Submits blocked waiting for queue space must observe the
                 # close now, not at their deadline.
                 self._space.notify_all()
@@ -363,32 +436,44 @@ class MicroBatcher:
 
     def _drain(self) -> None:
         while True:
-            item = self._queue.get()
-            if item is _SHUTDOWN:
-                self._queue.put(_SHUTDOWN)  # release the next worker
+            batch = self._assemble()
+            if batch is None:
                 return
-            batch = [item + (time.monotonic(),)]
-            deadline = time.monotonic() + self.max_latency
-            stop = False
+            self._run_batch(batch)
+
+    def _assemble(self):
+        """Take the next batch off the queue; ``None`` once closed and empty.
+
+        Waits up to ``max_latency`` after the first request for
+        stragglers, but only while no caller is blocked on a result and
+        the batcher is open: otherwise what is queued goes at once.
+        """
+        pending = self._pending
+        with self._ready:
+            while not pending:
+                if self._closed:
+                    return None
+                self._ready.wait()
+            now = time.monotonic()
+            batch = [pending.popleft() + (now,)]
+            deadline = now + self.max_latency
             while len(batch) < self.max_batch:
+                if pending:
+                    batch.append(pending.popleft() + (time.monotonic(),))
+                    continue
+                if self._waiters or self._closed:
+                    break
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break
-                try:
-                    item = self._queue.get(timeout=remaining)
-                except queue.Empty:
-                    break
-                if item is _SHUTDOWN:
-                    self._queue.put(_SHUTDOWN)
-                    stop = True
-                    break
-                batch.append(item + (time.monotonic(),))
+                self._ready.wait(remaining)
+            for item in batch:  # dispatched: its waiters stop counting
+                future = item[1]
+                future._queued = False
+                self._waiters -= future._blocked
             # The batch is off the queue: wake any submit blocked on space.
-            with self._space:
-                self._space.notify_all()
-            self._run_batch(batch)
-            if stop:
-                return
+            self._space.notify_all()
+        return batch
 
     def _run_batch(self, batch) -> None:
         """Predict one assembled *batch* (list of 6-tuples ``(series,

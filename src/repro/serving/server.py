@@ -809,6 +809,10 @@ class _Handler(BaseHTTPRequestHandler):
     # Keep-alive: _reply always sends Content-Length, so clients can reuse
     # one connection for a burst instead of a TCP handshake per request.
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket: a reply goes out as headers
+    # then body, and with Nagle on a keep-alive connection the body waits
+    # for the client's delayed ACK of the headers (~40 ms per request).
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------ #
 

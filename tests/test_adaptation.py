@@ -329,6 +329,10 @@ class TestBackgroundRetraining:
                               adapter=controller) as scorer:
                 for sample in samples[:65 * WINDOW]:
                     scorer.feed(sample.values, sample.label)
+                # Resolve every window fed so far: the pipelined scorer
+                # hands a window to the controller only once it resolves,
+                # and the collect quorum needs windows up to about 53.
+                scorer.finish()
                 # Let the off-thread retrain land, then keep streaming so
                 # shadow scoring has live windows to compare on.
                 assert controller.wait(timeout=60.0)

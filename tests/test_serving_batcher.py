@@ -2,6 +2,7 @@
 
 import threading
 import time
+from concurrent.futures import TimeoutError as FutureTimeoutError
 
 import numpy as np
 import pytest
@@ -417,3 +418,71 @@ def test_admit_nan_mode_for_imputing_pipelines():
         with_inf[0, 2] = np.inf
         with pytest.raises(ValueError, match="infinite"):
             batcher.submit(with_inf)
+
+
+def _wait_done(futures, seconds=10.0):
+    """Poll ``done()`` (which never counts as waiting) until all resolve."""
+    deadline = time.monotonic() + seconds
+    while not all(future.done() for future in futures):
+        assert time.monotonic() < deadline, "futures never resolved"
+        time.sleep(0.005)
+
+
+def test_blocking_predict_skips_the_straggler_wait():
+    """A caller blocked on its result dispatches the batch at once; it does
+    not wait out max_latency for stragglers that never come."""
+    with MicroBatcher(lambda p: np.zeros(len(p), dtype=int),
+                      max_latency=0.25) as batcher:
+        start = time.monotonic()
+        assert batcher.predict(np.ones((1, 8)), timeout=10) == 0
+        assert time.monotonic() - start < 0.1
+
+
+def test_unwaited_submits_still_coalesce():
+    """Nobody blocks on these futures, so the worker keeps coalescing for
+    up to max_latency and all eight land in one panel."""
+    with MicroBatcher(lambda p: np.zeros(len(p), dtype=int), max_batch=64,
+                      max_latency=0.25) as batcher:
+        futures = [batcher.submit(np.ones((1, 8))) for _ in range(8)]
+        _wait_done(futures)
+    assert batcher.stats.batches == 1
+    assert batcher.stats.max_batch_size == 8
+
+
+def test_late_blocking_result_cuts_the_wait_short():
+    """A result() that starts while the worker is already waiting for
+    stragglers wakes it: the batch goes well before max_latency."""
+    with MicroBatcher(lambda p: np.zeros(len(p), dtype=int),
+                      max_latency=0.25) as batcher:
+        start = time.monotonic()
+        future = batcher.submit(np.ones((1, 8)))
+        time.sleep(0.02)
+        assert future.result(timeout=10) == 0
+        assert time.monotonic() - start < 0.15
+
+
+def test_ended_waits_leave_no_waiter_behind():
+    """A result() that timed out and an exception() call both stop
+    counting when they return, so the next unwaited batch coalesces."""
+    batcher, entered, release = _gated_batcher(max_batch=16,
+                                               max_latency=0.25)
+    try:
+        first = batcher.submit(np.ones((1, 8)))
+        with pytest.raises(FutureTimeoutError):
+            first.result(timeout=0.05)
+        assert entered.is_set()  # the blocked wait dispatched it at once
+        second = batcher.submit(np.ones((1, 8)))  # queued behind the gate
+        with pytest.raises(FutureTimeoutError):
+            second.exception(timeout=0.05)
+        assert batcher._waiters == 0
+        release.set()
+        assert first.exception(timeout=10) is None
+        assert batcher._waiters == 0
+        rest = [batcher.submit(np.ones((1, 8))) for _ in range(7)]
+        _wait_done([second] + rest)
+        # first alone, then second and the seven unwaited ones together
+        assert batcher.stats.batches == 2
+        assert batcher.stats.max_batch_size == 8
+    finally:
+        release.set()
+        batcher.close()

@@ -1,7 +1,10 @@
 """The HTTP prediction server, end to end over a real registry."""
 
+import http.client
 import json
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -162,6 +165,27 @@ class TestPredict:
         stats = server.service._loaded[("demo", 1)][1].stats
         assert stats.requests == len(X)
         assert stats.batches <= stats.requests
+
+    def test_keep_alive_predicts_do_not_stall(self, server, problem):
+        """Back-to-back predicts on one keep-alive connection: with Nagle on,
+        each reply's body waits for the client's delayed ACK (~40 ms)."""
+        X, _ = problem
+        body = json.dumps({"series": X[0].tolist()})
+        connection = http.client.HTTPConnection("127.0.0.1", server.port,
+                                                timeout=10)
+        try:
+            durations = []
+            for _ in range(20):
+                start = time.monotonic()
+                connection.request("POST", "/v1/models/demo/predict", body,
+                                   {"Content-Type": "application/json"})
+                response = connection.getresponse()
+                assert response.status == 200
+                json.load(response)
+                durations.append(time.monotonic() - start)
+        finally:
+            connection.close()
+        assert statistics.median(durations) < 0.020
 
     def test_unknown_model_404(self, server, problem):
         X, _ = problem

@@ -1,6 +1,7 @@
 """The stream scorer against a real PredictionService, transport-free."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -83,6 +84,24 @@ class TestStreamScorer:
                           max_inflight=2) as scorer:
             results = _drive(scorer, source)
         assert [r.index for r in results] == list(range(len(results)))
+
+    def test_unpipelined_scorer_pays_no_straggler_wait(self, registry,
+                                                      problem):
+        """max_inflight=1 blocks on every window, so each window dispatches
+        at once instead of waiting out max_latency for stragglers."""
+        X, y = problem
+        service = PredictionService(registry, max_latency=0.25)
+        try:
+            source = ReplaySource(X[:10], y[:10])
+            start = time.monotonic()
+            with StreamScorer(service, "demo", window=WINDOW, hop=WINDOW,
+                              max_inflight=1) as scorer:
+                results = _drive(scorer, source)
+            elapsed = time.monotonic() - start
+        finally:
+            service.close()
+        assert len(results) == 10
+        assert elapsed < 1.25
 
     def test_streaming_shares_the_bounded_queue(self, registry, problem):
         """A full shared queue blocks the stream (bounded) instead of
